@@ -10,7 +10,7 @@ ReplicatedControllerGroup::ReplicatedControllerGroup(
     : primary_(std::move(primary)),
       backup_(std::move(backup)),
       params_(params) {
-  if (primary_ == nullptr || backup_ == nullptr) {
+  if (primary_ == nullptr) {
     throw std::invalid_argument("ReplicatedControllerGroup: null controller");
   }
   if (params_.election_delay_ms < 0.0) {
@@ -23,12 +23,12 @@ void ReplicatedControllerGroup::ObserveArrival(DelayMs external_delay_ms,
                                                double now_ms) {
   // Replicas share input state: both see every observation.
   if (!primary_failed_) primary_->ObserveArrival(external_delay_ms, now_ms);
-  backup_->ObserveArrival(external_delay_ms, now_ms);
+  if (backup_ != nullptr) backup_->ObserveArrival(external_delay_ms, now_ms);
 }
 
 bool ReplicatedControllerGroup::Tick(double now_ms) {
   if (election_deadline_ms_.has_value()) {
-    if (now_ms < *election_deadline_ms_) {
+    if (now_ms < *election_deadline_ms_ || backup_ == nullptr) {
       return false;  // Election in progress; stale cache keeps serving.
     }
     // Promotion: the backup adopts the last published table so its first
@@ -65,18 +65,18 @@ void ReplicatedControllerGroup::FailPrimary(double now_ms,
 
 void ReplicatedControllerGroup::SetExternalDelayError(double relative_error) {
   primary_->SetExternalDelayError(relative_error);
-  backup_->SetExternalDelayError(relative_error);
+  if (backup_ != nullptr) backup_->SetExternalDelayError(relative_error);
 }
 
 void ReplicatedControllerGroup::SetDecisionPenalties(
     std::vector<double> penalties_ms) {
-  primary_->SetDecisionPenalties(penalties_ms);
-  backup_->SetDecisionPenalties(std::move(penalties_ms));
+  if (backup_ != nullptr) backup_->SetDecisionPenalties(penalties_ms);
+  primary_->SetDecisionPenalties(std::move(penalties_ms));
 }
 
 void ReplicatedControllerGroup::SetLoadDiscount(double fraction) {
   primary_->SetLoadDiscount(fraction);
-  backup_->SetLoadDiscount(fraction);
+  if (backup_ != nullptr) backup_->SetLoadDiscount(fraction);
 }
 
 const Controller& ReplicatedControllerGroup::active() const {

@@ -25,6 +25,8 @@ struct FailoverParams {
 class ReplicatedControllerGroup {
  public:
   /// Both controllers must be configured identically (they are replicas).
+  /// `backup` may be null: a group of one has no one to elect, so after a
+  /// primary failure its stale table serves for the rest of the run.
   ReplicatedControllerGroup(std::unique_ptr<Controller> primary,
                             std::unique_ptr<Controller> backup,
                             FailoverParams params);

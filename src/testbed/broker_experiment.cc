@@ -3,21 +3,17 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "fault/injector.h"
-#include "obs/export.h"
 #include "obs/trace_span.h"
 #include "resilience/admission.h"
 #include "resilience/circuit_breaker.h"
 #include "resilience/cloning_model.h"
 #include "resilience/retry_policy.h"
-#include "sim/event_loop.h"
 #include "stats/bucketizer.h"
+#include "testbed/replay_harness.h"
 
 namespace e2e {
 namespace {
@@ -159,25 +155,13 @@ std::vector<broker::TableScheduler::Entry> ToSchedulerEntries(
 ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
                                      const QoeModel& qoe,
                                      const BrokerExperimentConfig& config) {
-  if (records.empty()) {
-    throw std::invalid_argument("RunBrokerExperiment: no records");
-  }
-  Rng root(config.common.seed);
-  EventLoop loop;
-  const EventLoopClock loop_clock(loop);
-  const Clock* profile_clock = ProfileClock(config.common, &loop_clock);
-  // Telemetry always runs on the virtual clock so exports stay
-  // byte-identical even when stats profiling opts into the real clock.
-  obs::Telemetry telemetry(config.common.collect_telemetry, &loop_clock);
-  if (telemetry.enabled()) loop.AttachMetrics(telemetry.metrics);
+  ReplayHarness harness("RunBrokerExperiment", records, qoe, config.common);
+  EventLoop& loop = harness.loop();
+  obs::Telemetry& telemetry = harness.telemetry();
 
-  // --- Policy wiring -----------------------------------------------------
+  // --- Policy wiring: the message scheduler is the decision hook ---------
   std::shared_ptr<broker::MessageScheduler> scheduler;
-  std::shared_ptr<broker::TableScheduler> table_scheduler;
-  std::unique_ptr<ReplicatedControllerGroup> controllers;
-
-  const bool uses_controller =
-      config.policy == BrokerPolicy::kE2e || config.policy == BrokerPolicy::kSlope;
+  ReplicatedControllerGroup* controllers = nullptr;
   switch (config.policy) {
     case BrokerPolicy::kDefault:
       scheduler = std::make_shared<broker::FifoScheduler>();
@@ -187,33 +171,24 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
           config.deadline_ms, config.deadline_max_slack_ms);
       break;
     case BrokerPolicy::kSlope:
-    case BrokerPolicy::kE2e:
-      table_scheduler = std::make_shared<broker::TableScheduler>(
+    case BrokerPolicy::kE2e: {
+      auto table_scheduler = std::make_shared<broker::TableScheduler>(
           config.policy == BrokerPolicy::kSlope ? "slope-table" : "e2e-table");
-      scheduler = table_scheduler;
-      break;
-  }
-  if (uses_controller) {
-    auto qoe_shared = std::shared_ptr<const QoeModel>(&qoe, [](auto*) {});
-    auto server_model = BuildBrokerServerModel(config.broker);
-    ControllerConfig cc = config.common.controller;
-    if (config.policy == BrokerPolicy::kSlope) {
-      cc.policy.mapping = MappingAlgorithm::kSlopeBased;
-    }
-    auto make = [&](const char* name, std::uint64_t salt) {
-      auto c = std::make_unique<Controller>(name, cc, qoe_shared, server_model,
-                                            config.common.seed ^ salt,
-                                            profile_clock);
-      c->SetExternalDelayError(config.external_delay_error);
-      c->SetRpsError(config.rps_error);
-      if (telemetry.enabled()) {
-        c->AttachTelemetry(telemetry.metrics, &telemetry.tracer,
-                           std::string("ctrl.") + name);
+      ControllerConfig cc = config.common.controller;
+      if (config.policy == BrokerPolicy::kSlope) {
+        cc.policy.mapping = MappingAlgorithm::kSlopeBased;
       }
-      return c;
-    };
-    controllers = std::make_unique<ReplicatedControllerGroup>(
-        make("primary", 0x61ULL), make("backup", 0x62ULL), FailoverParams{});
+      controllers = &harness.AddControllers(
+          {{"primary", config.common.seed ^ 0x61ULL},
+           {"backup", config.common.seed ^ 0x62ULL}},
+          cc, BuildBrokerServerModel(config.broker),
+          [table_scheduler](const DecisionTable& table) {
+            table_scheduler->SetTable(ToSchedulerEntries(table));
+          },
+          config.external_delay_error, config.rps_error);
+      scheduler = std::move(table_scheduler);
+      break;
+    }
   }
 
   // --- Resilience layer --------------------------------------------------
@@ -234,7 +209,7 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
         std::make_unique<resilience::AdmissionController>(resil.admission, qoe);
   }
   std::optional<resilience::RetryPolicy> retry;
-  if (resil.retry.enabled) retry.emplace(resil.retry, root.Fork(5));
+  if (resil.retry.enabled) retry.emplace(resil.retry, harness.rng().Fork(5));
   obs::Counter* metric_retries = nullptr;
   obs::Counter* metric_retries_exhausted = nullptr;
   if (telemetry.enabled()) {
@@ -326,198 +301,105 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
     model_work_ms += config.broker.handling_cost_ms;
   };
 
-  // --- Session abandonment ----------------------------------------------
-  // Same semantics as the db runner: keyed on the true external delay, the
-  // session set only touched from (single-threaded) event-loop callbacks,
-  // and the counter registered only when the model is live so stock
-  // telemetry exports stay byte-identical.
-  const AbandonmentModel abandonment(config.common.abandonment);
-  std::unordered_set<std::uint64_t> abandoned_sessions;
-  obs::Counter* metric_abandoned =
-      abandonment.enabled()
-          ? &telemetry.metrics.AddCounter("testbed.abandoned")
-          : nullptr;
-
-  // --- Replay ------------------------------------------------------------
-  const auto schedule = BuildReplaySchedule(records, config.common.speedup);
-  ExperimentResult result;
-  result.outcomes.reserve(schedule.size());
-  result.arrivals = schedule.size();
-
-  // --- Fault plan --------------------------------------------------------
+  ReplayAdapter adapter;
+  adapter.honours_resilience = true;
+  adapter.fault_targets.emplace();
+  adapter.fault_targets->controllers = controllers;
+  adapter.fault_targets->broker = &broker;
+  adapter.fault_targets->base_external_error = config.external_delay_error;
+  if (controllers != nullptr) {
+    adapter.fault_targets->apply_external_error = [controllers](double error) {
+      controllers->SetExternalDelayError(error);
+    };
+  }
   // Dropped messages still produce an outcome (status kDropped) so every
   // arrival is accounted for. With retries on, the publish wrapper below
   // owns drop accounting instead (a drop may still be retried).
   if (!resil.retry.enabled) {
     broker.SetDropCallback(
-        [&result](const broker::Message& message, double publish_ms) {
-          RequestOutcome outcome;
-          outcome.id = message.id;
-          outcome.arrival_ms = publish_ms;
-          outcome.external_delay_ms = message.external_delay_ms;
-          outcome.status = RequestStatus::kDropped;
-          result.outcomes.push_back(outcome);
+        [&harness](const broker::Message& message, double publish_ms) {
+          harness.Refuse(message.id, publish_ms, message.external_delay_ms,
+                         RequestStatus::kDropped);
         });
   }
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!config.common.fault_plan.empty()) {
-    fault::FaultTargets targets;
-    targets.controllers = controllers.get();
-    targets.broker = &broker;
-    targets.base_external_error = config.external_delay_error;
-    if (controllers != nullptr) {
-      auto* group = controllers.get();
-      targets.apply_external_error = [group](double error) {
-        group->SetExternalDelayError(error);
-      };
-    }
-    injector = std::make_unique<fault::FaultInjector>(
-        loop, config.common.fault_plan, std::move(targets));
-    if (telemetry.enabled()) {
-      injector->AttachTelemetry(telemetry.metrics, &telemetry.tracer);
-    }
-    injector->Arm();
-  }
 
-  // Publishes one message, retrying fault drops with jittered backoff when
-  // the retry policy grants one. Shared so the backoff continuation can
-  // re-enter it; `forced_priority >= 0` pins an admission downgrade across
-  // retries. With resilience off this reduces exactly to the legacy
-  // publish-with-confirm (first_ms == the broker's publish time).
-  auto publish = std::make_shared<
-      std::function<void(broker::Message, int, double, int, std::uint64_t)>>();
-  *publish = [&, publish](broker::Message message, int failures,
-                          double first_ms, int forced_priority,
-                          std::uint64_t session_id) {
-    auto confirm = [&result, &qoe, &loop, &abandonment, &abandoned_sessions,
-                    &record_model, metric_abandoned, first_ms,
-                    breaker = breaker_scheduler.get(), id = message.id,
-                    external = message.external_delay_ms,
-                    session_id](const broker::Delivery& delivery) {
-      if (breaker != nullptr) {
-        breaker->RecordDelivery(delivery.priority, delivery.QueueingDelayMs(),
-                                loop.Now());
-      }
-      record_model(delivery);
-      RequestOutcome outcome;
-      outcome.id = id;
-      outcome.arrival_ms = first_ms;
-      outcome.external_delay_ms = external;
-      // The retry wait counts against the request: server-side delay runs
-      // from the first publish attempt, not the one that got through.
-      outcome.server_delay_ms = delivery.deliver_ms - first_ms;
-      outcome.decision = delivery.priority;
-      const double total_delay = external + outcome.server_delay_ms;
-      if (abandonment.enabled() &&
-          (abandoned_sessions.count(session_id) > 0 ||
-           abandonment.Abandons(session_id, qoe.Classify(external),
-                                total_delay))) {
-        outcome.status = RequestStatus::kAbandoned;
-        abandoned_sessions.insert(session_id);
-        if (metric_abandoned != nullptr) metric_abandoned->Increment();
-      } else {
-        outcome.qoe = qoe.Qoe(total_delay);
-      }
-      result.outcomes.push_back(outcome);
-    };
-    const bool ok =
-        forced_priority >= 0
-            ? broker.PublishWithPriority(message, forced_priority,
-                                         std::move(confirm))
-            : broker.Publish(message, std::move(confirm));
-    if (ok || !retry.has_value()) return;  // Drop callback covers the rest.
-    const std::optional<double> backoff =
-        retry->NextBackoffMs(failures + 1, loop.Now() - first_ms,
-                             qoe.Classify(message.external_delay_ms));
-    if (backoff.has_value()) {
-      if (metric_retries != nullptr) metric_retries->Increment();
-      loop.ScheduleAfter(*backoff, [publish, message, failures, first_ms,
-                                    forced_priority, session_id]() {
-        (*publish)(message, failures + 1, first_ms, forced_priority,
-                   session_id);
-      });
-      return;
+  // Publishes arrival `index`, retrying fault drops with jittered backoff
+  // when the retry policy grants one; `forced_priority >= 0` pins an
+  // admission downgrade across retries. With resilience off this reduces
+  // exactly to the legacy publish-with-confirm (first_ms == the broker's
+  // publish time).
+  std::function<void(const broker::Message&, int, double, int, std::size_t)>
+      publish = [&](const broker::Message& message, int failures,
+                    double first_ms, int forced_priority, std::size_t index) {
+        auto confirm = [&, first_ms, index](const broker::Delivery& delivery) {
+          if (breaker_scheduler != nullptr) {
+            breaker_scheduler->RecordDelivery(
+                delivery.priority, delivery.QueueingDelayMs(), loop.Now());
+          }
+          record_model(delivery);
+          // The retry wait counts against the request: server-side delay
+          // runs from the first publish attempt, not the one that got
+          // through.
+          harness.Complete(index, first_ms, delivery.deliver_ms - first_ms,
+                           delivery.priority);
+        };
+        const bool ok = forced_priority >= 0
+                            ? broker.PublishWithPriority(
+                                  message, forced_priority, std::move(confirm))
+                            : broker.Publish(message, std::move(confirm));
+        if (ok || !retry.has_value()) return;  // Drop callback covers it.
+        const std::optional<double> backoff =
+            retry->NextBackoffMs(failures + 1, loop.Now() - first_ms,
+                                 qoe.Classify(message.external_delay_ms));
+        if (backoff.has_value()) {
+          if (metric_retries != nullptr) metric_retries->Increment();
+          loop.ScheduleAfter(*backoff, [&publish, message, failures, first_ms,
+                                        forced_priority, index]() {
+            publish(message, failures + 1, first_ms, forced_priority, index);
+          });
+          return;
+        }
+        if (metric_retries_exhausted != nullptr) {
+          metric_retries_exhausted->Increment();
+        }
+        // Out of attempts, deadline or budget: lost.
+        harness.Refuse(message.id, first_ms, message.external_delay_ms,
+                       RequestStatus::kDropped);
+      };
+
+  adapter.dispatch = [&](std::size_t index, const TraceRecord& rec) {
+    if (controllers != nullptr) {
+      controllers->ObserveArrival(rec.external_delay_ms, loop.Now());
     }
-    if (metric_retries_exhausted != nullptr) {
-      metric_retries_exhausted->Increment();
+    broker::Message message;
+    message.id = rec.request_id;
+    message.external_delay_ms = rec.external_delay_ms;
+    const double publish_ms = loop.Now();
+    int forced_priority = -1;
+    if (admission != nullptr) {
+      int depth = 0;
+      for (const int d : broker.View().queue_depths) depth += d;
+      switch (admission->Decide(rec.external_delay_ms, depth)) {
+        case resilience::AdmissionDecision::kShed:
+          harness.Refuse(rec.request_id, publish_ms, rec.external_delay_ms,
+                         RequestStatus::kShed);
+          return;
+        case resilience::AdmissionDecision::kDowngrade:
+          forced_priority = config.broker.priority_levels - 1;
+          break;
+        case resilience::AdmissionDecision::kAdmit:
+          break;
+      }
     }
-    RequestOutcome outcome;  // Out of attempts/deadline/budget: lost.
-    outcome.id = message.id;
-    outcome.arrival_ms = first_ms;
-    outcome.external_delay_ms = message.external_delay_ms;
-    outcome.status = RequestStatus::kDropped;
-    result.outcomes.push_back(outcome);
+    publish(message, 0, publish_ms, forced_priority, index);
   };
 
-  for (const auto& arrival : schedule) {
-    loop.Schedule(arrival.testbed_time_ms, [&, arrival]() {
-      const TraceRecord& rec = arrival.record;
-      // A request from a session that already quit never reaches the
-      // controller, admission, or the broker: the user is gone, so the
-      // load is too.
-      if (abandonment.enabled() &&
-          abandoned_sessions.count(rec.session_id) > 0) {
-        RequestOutcome outcome;
-        outcome.id = rec.request_id;
-        outcome.arrival_ms = loop.Now();
-        outcome.external_delay_ms = rec.external_delay_ms;
-        outcome.status = RequestStatus::kAbandoned;
-        result.outcomes.push_back(outcome);
-        if (metric_abandoned != nullptr) metric_abandoned->Increment();
-        return;
-      }
-      if (controllers != nullptr) {
-        controllers->ObserveArrival(rec.external_delay_ms, loop.Now());
-      }
-      broker::Message message;
-      message.id = rec.request_id;
-      message.external_delay_ms = rec.external_delay_ms;
-      const double publish_ms = loop.Now();
-      if (admission != nullptr) {
-        int depth = 0;
-        for (const int d : broker.View().queue_depths) depth += d;
-        switch (admission->Decide(rec.external_delay_ms, depth)) {
-          case resilience::AdmissionDecision::kShed: {
-            RequestOutcome outcome;
-            outcome.id = rec.request_id;
-            outcome.arrival_ms = publish_ms;
-            outcome.external_delay_ms = rec.external_delay_ms;
-            outcome.status = RequestStatus::kShed;
-            result.outcomes.push_back(outcome);
-            return;
-          }
-          case resilience::AdmissionDecision::kDowngrade:
-            (*publish)(message, 0, publish_ms,
-                       config.broker.priority_levels - 1, rec.session_id);
-            return;
-          case resilience::AdmissionDecision::kAdmit:
-            break;
-        }
-      }
-      (*publish)(message, 0, publish_ms, -1, rec.session_id);
-    });
-  }
-
-  const double horizon_ms = schedule.back().testbed_time_ms + 60000.0;
-  if (controllers != nullptr) {
-    for (double t = config.common.tick_interval_ms; t <= horizon_ms;
-         t += config.common.tick_interval_ms) {
-      loop.Schedule(t, [&]() {
-        if (controllers->Tick(loop.Now())) {
-          const DecisionTable* table = controllers->active().CurrentTable();
-          if (table != nullptr) {
-            table_scheduler->SetTable(ToSchedulerEntries(*table));
-          }
-        }
-      });
-    }
-  }
-
-  // Run to the horizon, then stop consumers so the loop can drain.
-  loop.RunUntil(horizon_ms);
-  broker.StopConsumers();
-  loop.Run();
-  if (resil.AnyEnabled()) {
+  adapter.drain = [&](double horizon_ms) {
+    // Run to the horizon, then stop consumers so the loop can drain.
+    loop.RunUntil(horizon_ms);
+    broker.StopConsumers();
+    loop.Run();
+    if (!resil.AnyEnabled()) return;
     // Open-ended overload can leave a backlog past the horizon; pull it
     // synchronously so every publish still confirms (the conservation
     // invariant). Alternate with Run(): a drained confirm can grant a
@@ -528,19 +410,13 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
       while (broker.TryPull().has_value()) drained = true;
       loop.Run();
     }
-  }
+  };
 
-  // Broker busy time: one handling cost per delivered message.
-  result.service_busy_ms =
-      static_cast<double>(broker.delivered_count()) *
-      config.broker.handling_cost_ms;
-  if (controllers != nullptr) {
-    result.controller_stats = controllers->active().stats();
-  }
-  if (injector != nullptr) {
-    result.injected_faults = injector->injected();
-  }
-  if (resil.AnyEnabled()) {
+  adapter.finish = [&](ExperimentResult& result) {
+    // Broker busy time: one handling cost per delivered message.
+    result.service_busy_ms = static_cast<double>(broker.delivered_count()) *
+                             config.broker.handling_cost_ms;
+    if (!resil.AnyEnabled()) return;
     if (admission != nullptr) {
       result.resilience.shed = admission->stats().shed;
       result.resilience.downgraded = admission->stats().downgraded;
@@ -557,10 +433,8 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
       result.resilience.breaker_rejections = breakers.rejections;
     }
     result.resilience.model_recomputes = model_recomputes;
-  }
-  if (telemetry.enabled()) result.telemetry = telemetry.Snapshot();
-  result.Finalize();
-  return result;
+  };
+  return harness.Run(adapter, /*drain_margin_ms=*/60000.0);
 }
 
 }  // namespace e2e

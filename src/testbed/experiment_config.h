@@ -1,4 +1,4 @@
-// The shared experiment-config core (DESIGN.md "Experiment runners").
+// The shared experiment-config core (DESIGN.md §2, testbed/).
 //
 // Every runner used to duplicate the same block of fields — seed, replay
 // speedup, controller config, tick cadence, profiling-clock flag, fault
@@ -12,14 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 
 #include "core/controller.h"
 #include "fault/plan.h"
 #include "qoe/abandonment.h"
 #include "resilience/config.h"
-#include "util/clock.h"
 
 namespace e2e {
 
@@ -78,25 +75,5 @@ struct ExperimentConfig {
     return config;
   }
 };
-
-/// The clock the controller profiles its budget against: the real clock
-/// when `profile_real_clock` is set, else the run's own virtual clock.
-inline const Clock* ProfileClock(const ExperimentConfig& config,
-                                 const Clock* loop_clock) {
-  return config.profile_real_clock
-             ? static_cast<const Clock*>(&RealClock::Instance())
-             : loop_clock;
-}
-
-/// Guard for runners without fault-injection support: fail loudly instead
-/// of silently ignoring a plan the caller expected to run.
-inline void RequireNoFaultPlan(const ExperimentConfig& config,
-                               const char* runner) {
-  if (!config.fault_plan.empty()) {
-    throw std::invalid_argument(std::string(runner) +
-                                ": fault plans are not supported here; use "
-                                "RunBrokerExperiment or RunDbExperiment");
-  }
-}
 
 }  // namespace e2e

@@ -5,10 +5,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/export.h"
-#include "sim/event_loop.h"
 #include "testbed/broker_experiment.h"
-#include "trace/replay.h"
+#include "testbed/replay_harness.h"
 
 namespace e2e {
 namespace {
@@ -38,18 +36,13 @@ std::size_t AgentOf(const TraceRecord& rec, AgentSharding sharding,
 ExperimentResult RunMultiAgentExperiment(std::span<const TraceRecord> records,
                                          const QoeModel& qoe,
                                          const MultiAgentConfig& config) {
-  if (records.empty()) {
-    throw std::invalid_argument("RunMultiAgentExperiment: no records");
-  }
+  ReplayHarness harness("RunMultiAgentExperiment", records, qoe,
+                        config.common);
   if (config.num_agents < 1) {
     throw std::invalid_argument("RunMultiAgentExperiment: num_agents < 1");
   }
-  RequireNoFaultPlan(config.common, "RunMultiAgentExperiment");
-  EventLoop loop;
-  const EventLoopClock loop_clock(loop);
-  const Clock* profile_clock = ProfileClock(config.common, &loop_clock);
-  obs::Telemetry telemetry(config.common.collect_telemetry, &loop_clock);
-  if (telemetry.enabled()) loop.AttachMetrics(telemetry.metrics);
+  EventLoop& loop = harness.loop();
+  obs::Telemetry& telemetry = harness.telemetry();
   const auto num_agents = static_cast<std::size_t>(config.num_agents);
 
   // Quantile cuts for the pathological sharding.
@@ -64,7 +57,6 @@ ExperimentResult RunMultiAgentExperiment(std::span<const TraceRecord> records,
   }
 
   // One global controller; per-agent brokers with table schedulers.
-  std::unique_ptr<Controller> controller;
   std::vector<std::shared_ptr<broker::TableScheduler>> schedulers;
   std::vector<std::unique_ptr<broker::MessageBroker>> agents;
   for (std::size_t a = 0; a < num_agents; ++a) {
@@ -84,83 +76,50 @@ ExperimentResult RunMultiAgentExperiment(std::span<const TraceRecord> records,
                                    "broker.agent" + std::to_string(a));
     }
   }
+  ReplicatedControllerGroup* controller = nullptr;
   if (config.use_e2e) {
-    auto qoe_shared = std::shared_ptr<const QoeModel>(&qoe, [](auto*) {});
     // The global G sees the *aggregate* drain rate of all agents.
     auto aggregate = config.broker;
     aggregate.num_consumers *= config.num_agents;
-    controller = std::make_unique<Controller>(
-        "global", config.common.controller, qoe_shared,
-        BuildBrokerServerModel(aggregate), config.common.seed, profile_clock);
-    if (telemetry.enabled()) {
-      controller->AttachTelemetry(telemetry.metrics, &telemetry.tracer,
-                                  "ctrl.global");
-    }
+    controller = &harness.AddControllers(
+        {{"global", config.common.seed}}, config.common.controller,
+        BuildBrokerServerModel(aggregate),
+        [&schedulers](const DecisionTable& table) {
+          // The same global table goes to every agent (§9).
+          const auto entries = ToSchedulerEntries(table);
+          for (auto& scheduler : schedulers) scheduler->SetTable(entries);
+        });
   }
 
-  const auto schedule = BuildReplaySchedule(records, config.common.speedup);
-  ExperimentResult result;
-  result.outcomes.reserve(schedule.size());
-
-  std::size_t arrival_index = 0;
-  for (const auto& arrival : schedule) {
+  ReplayAdapter adapter;
+  adapter.dispatch = [&](std::size_t index, const TraceRecord& rec) {
     const std::size_t agent =
-        AgentOf(arrival.record, config.sharding, num_agents, arrival_index++,
-                shard_edges);
-    loop.Schedule(arrival.testbed_time_ms, [&, arrival, agent]() {
-      const TraceRecord& rec = arrival.record;
-      if (controller != nullptr) {
-        controller->ObserveArrival(rec.external_delay_ms, loop.Now());
-      }
-      broker::Message message;
-      message.id = rec.request_id;
-      message.external_delay_ms = rec.external_delay_ms;
-      const double publish_ms = loop.Now();
-      agents[agent]->Publish(
-          message, [&result, rec, publish_ms,
-                    &qoe](const broker::Delivery& delivery) {
-            RequestOutcome outcome;
-            outcome.id = rec.request_id;
-            outcome.arrival_ms = publish_ms;
-            outcome.external_delay_ms = rec.external_delay_ms;
-            outcome.server_delay_ms = delivery.QueueingDelayMs();
-            outcome.qoe =
-                qoe.Qoe(rec.external_delay_ms + outcome.server_delay_ms);
-            outcome.decision = delivery.priority;
-            result.outcomes.push_back(outcome);
-          });
-    });
-  }
-
-  const double horizon_ms = schedule.back().testbed_time_ms + 60000.0;
-  if (controller != nullptr) {
-    for (double t = config.common.tick_interval_ms; t <= horizon_ms;
-         t += config.common.tick_interval_ms) {
-      loop.Schedule(t, [&]() {
-        if (controller->Tick(loop.Now())) {
-          const DecisionTable* table = controller->CurrentTable();
-          if (table != nullptr) {
-            // The same global table goes to every agent (§9).
-            const auto entries = ToSchedulerEntries(*table);
-            for (auto& scheduler : schedulers) scheduler->SetTable(entries);
-          }
-        }
-      });
+        AgentOf(rec, config.sharding, num_agents, index, shard_edges);
+    if (controller != nullptr) {
+      controller->ObserveArrival(rec.external_delay_ms, loop.Now());
     }
-  }
-
-  loop.RunUntil(horizon_ms);
-  for (auto& agent : agents) agent->StopConsumers();
-  loop.Run();
-
-  for (const auto& agent : agents) {
-    result.service_busy_ms += static_cast<double>(agent->delivered_count()) *
-                              config.broker.handling_cost_ms;
-  }
-  if (controller != nullptr) result.controller_stats = controller->stats();
-  if (telemetry.enabled()) result.telemetry = telemetry.Snapshot();
-  result.Finalize();
-  return result;
+    broker::Message message;
+    message.id = rec.request_id;
+    message.external_delay_ms = rec.external_delay_ms;
+    agents[agent]->Publish(
+        message, [&harness, index, publish_ms = loop.Now()](
+                     const broker::Delivery& delivery) {
+          harness.Complete(index, publish_ms, delivery.QueueingDelayMs(),
+                           delivery.priority);
+        });
+  };
+  adapter.drain = [&](double horizon_ms) {
+    loop.RunUntil(horizon_ms);
+    for (auto& agent : agents) agent->StopConsumers();
+    loop.Run();
+  };
+  adapter.finish = [&](ExperimentResult& result) {
+    for (const auto& agent : agents) {
+      result.service_busy_ms += static_cast<double>(agent->delivered_count()) *
+                                config.broker.handling_cost_ms;
+    }
+  };
+  return harness.Run(adapter, /*drain_margin_ms=*/60000.0);
 }
 
 }  // namespace e2e

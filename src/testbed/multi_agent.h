@@ -29,8 +29,9 @@ enum class AgentSharding {
 };
 
 /// Multi-agent experiment configuration. Shared knobs live in `common`;
-/// this runner has no fault-injection hooks, so `common.fault_plan` must
-/// stay empty (the runner throws otherwise).
+/// this runner has no fault-injection or resilience hooks, so
+/// `common.fault_plan` must stay empty and `common.resilience` disabled
+/// (the runner throws otherwise).
 struct MultiAgentConfig {
   ExperimentConfig common = ExperimentConfig::WithSeed(101);
   int num_agents = 4;

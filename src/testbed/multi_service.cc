@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 
-#include "obs/export.h"
-#include "sim/event_loop.h"
 #include "testbed/broker_experiment.h"
-#include "trace/replay.h"
+#include "testbed/replay_harness.h"
 
 namespace e2e {
 namespace {
@@ -18,7 +15,7 @@ namespace {
 struct Service {
   std::shared_ptr<broker::TableScheduler> table;
   std::unique_ptr<broker::MessageBroker> broker;
-  std::unique_ptr<Controller> controller;
+  ReplicatedControllerGroup* controller = nullptr;
   // Realized mean queueing delay per priority level (EWMA), used to
   // predict the residual delay of a request routed through this service.
   std::vector<double> delay_by_priority;
@@ -65,9 +62,8 @@ struct Service {
 
 // Join state for one request: completes when all expected legs confirmed.
 struct Join {
+  std::size_t index = 0;  // Schedule index of the request.
   double publish_ms = 0.0;
-  DelayMs external_ms = 0.0;
-  RequestId id = 0;
   int legs_expected = 1;
   int legs_done = 0;
   DelayMs slowest_leg_ms = 0.0;
@@ -78,21 +74,16 @@ struct Join {
 ExperimentResult RunMultiServiceExperiment(
     std::span<const TraceRecord> records, const QoeModel& qoe,
     const MultiServiceConfig& config) {
-  if (records.empty()) {
-    throw std::invalid_argument("RunMultiServiceExperiment: no records");
-  }
-  RequireNoFaultPlan(config.common, "RunMultiServiceExperiment");
-  EventLoop loop;
-  const EventLoopClock loop_clock(loop);
-  const Clock* profile_clock = ProfileClock(config.common, &loop_clock);
-  obs::Telemetry telemetry(config.common.collect_telemetry, &loop_clock);
-  if (telemetry.enabled()) loop.AttachMetrics(telemetry.metrics);
-  auto qoe_shared = std::shared_ptr<const QoeModel>(&qoe, [](auto*) {});
+  ReplayHarness harness("RunMultiServiceExperiment", records, qoe,
+                        config.common);
+  EventLoop& loop = harness.loop();
+  obs::Telemetry& telemetry = harness.telemetry();
 
   Service services[2];
   const broker::BrokerParams* params[2] = {&config.service_a,
                                            &config.service_b};
   for (int s = 0; s < 2; ++s) {
+    const std::string name = s == 0 ? "service_a" : "service_b";
     services[s].delay_by_priority.assign(
         static_cast<std::size_t>(params[s]->priority_levels), 0.0);
     const bool service_uses_e2e =
@@ -102,119 +93,91 @@ ExperimentResult RunMultiServiceExperiment(
           std::string("service-") + (s == 0 ? "a" : "b"));
       services[s].broker = std::make_unique<broker::MessageBroker>(
           loop, *params[s], services[s].table);
-      services[s].controller = std::make_unique<Controller>(
-          std::string("ctrl-") + (s == 0 ? "a" : "b"),
-          config.common.controller, qoe_shared,
-          BuildBrokerServerModel(*params[s]),
-          config.common.seed + static_cast<std::uint64_t>(s), profile_clock);
-      if (telemetry.enabled()) {
-        services[s].controller->AttachTelemetry(
-            telemetry.metrics, &telemetry.tracer,
-            std::string("ctrl.service_") + (s == 0 ? "a" : "b"));
-      }
+      services[s].controller = &harness.AddControllers(
+          {{name, config.common.seed + static_cast<std::uint64_t>(s)}},
+          config.common.controller, BuildBrokerServerModel(*params[s]),
+          [table = services[s].table](const DecisionTable& t) {
+            table->SetTable(ToSchedulerEntries(t));
+          });
     } else {
       services[s].broker = std::make_unique<broker::MessageBroker>(
           loop, *params[s], std::make_shared<broker::FifoScheduler>());
     }
     if (telemetry.enabled()) {
-      services[s].broker->AttachMetrics(
-          telemetry.metrics,
-          std::string("broker.service_") + (s == 0 ? "a" : "b"));
+      services[s].broker->AttachMetrics(telemetry.metrics, "broker." + name);
     }
   }
 
-  const auto schedule = BuildReplaySchedule(records, config.common.speedup);
-  ExperimentResult result;
-  result.outcomes.reserve(schedule.size());
-  std::map<RequestId, Join> joins;
+  // One fan-out draw per arrival, in schedule order.
   Rng fanout_rng(config.common.seed ^ 0x5AULL);
+  std::vector<bool> needs_b;
+  needs_b.reserve(harness.schedule().size());
+  for (std::size_t i = 0; i < harness.schedule().size(); ++i) {
+    needs_b.push_back(fanout_rng.Bernoulli(config.fanout_probability));
+  }
+  std::map<RequestId, Join> joins;
 
-  auto complete_leg = [&](RequestId id, const broker::Delivery& delivery) {
-    auto it = joins.find(id);
+  auto complete_leg = [&](const broker::Delivery& delivery) {
+    auto it = joins.find(delivery.message.id);
     if (it == joins.end()) return;
     Join& join = it->second;
     join.slowest_leg_ms =
         std::max(join.slowest_leg_ms, delivery.QueueingDelayMs());
     if (++join.legs_done < join.legs_expected) return;
-    RequestOutcome outcome;
-    outcome.id = id;
-    outcome.arrival_ms = join.publish_ms;
-    outcome.external_delay_ms = join.external_ms;
-    outcome.server_delay_ms = join.slowest_leg_ms;  // Aggregation waits.
-    outcome.qoe = qoe.Qoe(join.external_ms + join.slowest_leg_ms);
-    result.outcomes.push_back(outcome);
+    // Aggregation waits for the slower leg.
+    harness.Complete(join.index, join.publish_ms, join.slowest_leg_ms,
+                     /*decision=*/-1);
     joins.erase(it);
   };
 
-  for (const auto& arrival : schedule) {
-    const bool needs_b = fanout_rng.Bernoulli(config.fanout_probability);
-    loop.Schedule(arrival.testbed_time_ms, [&, arrival, needs_b]() {
-      const TraceRecord& rec = arrival.record;
-      Join join;
-      join.publish_ms = loop.Now();
-      join.external_ms = rec.external_delay_ms;
-      join.id = rec.request_id;
-      join.legs_expected = needs_b ? 2 : 1;
-      joins.emplace(rec.request_id, join);
+  ReplayAdapter adapter;
+  adapter.dispatch = [&](std::size_t index, const TraceRecord& rec) {
+    Join join;
+    join.index = index;
+    join.publish_ms = loop.Now();
+    join.legs_expected = needs_b[index] ? 2 : 1;
+    joins.emplace(rec.request_id, join);
 
-      const int last_service = needs_b ? 1 : 0;
-      for (int s = 0; s <= last_service; ++s) {
-        // In dependency-aware mode, the delay service A sees for a request
-        // that also needs the slower service B includes B's expected
-        // residual delay: if B will hold the request for seconds anyway,
-        // A should not spend a fast slot on it (the paper's Fig. 11
-        // argument lifted across services).
-        DelayMs effective_external = rec.external_delay_ms;
-        if (config.mode == CrossServiceMode::kDependencyAware && needs_b) {
-          effective_external +=
-              services[1 - s].PredictDelayMs(rec.external_delay_ms);
-        }
-        if (services[s].controller != nullptr) {
-          services[s].controller->ObserveArrival(effective_external,
-                                                 loop.Now());
-        }
-        broker::Message message;
-        message.id = rec.request_id;
-        message.external_delay_ms = effective_external;
-        services[s].broker->Publish(
-            message, [&, s](const broker::Delivery& delivery) {
-              services[s].RecordDelivery(delivery);
-              complete_leg(delivery.message.id, delivery);
-            });
+    for (int s = 0; s < join.legs_expected; ++s) {
+      // In dependency-aware mode, the delay service A sees for a request
+      // that also needs the slower service B includes B's expected
+      // residual delay: if B will hold the request for seconds anyway,
+      // A should not spend a fast slot on it (the paper's Fig. 11
+      // argument lifted across services).
+      DelayMs effective_external = rec.external_delay_ms;
+      if (config.mode == CrossServiceMode::kDependencyAware && needs_b[index]) {
+        effective_external +=
+            services[1 - s].PredictDelayMs(rec.external_delay_ms);
       }
-    });
-  }
-
-  const double horizon_ms = schedule.back().testbed_time_ms + 60000.0;
-  if (config.use_e2e) {
-    for (double t = config.common.tick_interval_ms; t <= horizon_ms;
-         t += config.common.tick_interval_ms) {
-      loop.Schedule(t, [&]() {
-        for (auto& service : services) {
-          if (service.controller == nullptr) continue;
-          if (service.controller->Tick(loop.Now())) {
-            const DecisionTable* table = service.controller->CurrentTable();
-            if (table != nullptr) {
-              service.table->SetTable(ToSchedulerEntries(*table));
-            }
-          }
-        }
-      });
+      if (services[s].controller != nullptr) {
+        services[s].controller->ObserveArrival(effective_external,
+                                               loop.Now());
+      }
+      broker::Message message;
+      message.id = rec.request_id;
+      message.external_delay_ms = effective_external;
+      services[s].broker->Publish(
+          message, [&, s](const broker::Delivery& delivery) {
+            services[s].RecordDelivery(delivery);
+            complete_leg(delivery);
+          });
     }
-  }
-
-  loop.RunUntil(horizon_ms);
-  for (auto& service : services) service.broker->StopConsumers();
-  loop.Run();
-
-  for (const auto& service : services) {
-    result.service_busy_ms +=
-        static_cast<double>(service.broker->delivered_count()) *
-        config.service_a.handling_cost_ms;
-  }
-  if (telemetry.enabled()) result.telemetry = telemetry.Snapshot();
-  result.Finalize();
-  return result;
+  };
+  adapter.drain = [&](double horizon_ms) {
+    loop.RunUntil(horizon_ms);
+    for (auto& service : services) service.broker->StopConsumers();
+    loop.Run();
+  };
+  adapter.finish = [&](ExperimentResult& result) {
+    // Two services have no single controller to report.
+    result.controller_stats = ControllerStats{};
+    for (const auto& service : services) {
+      result.service_busy_ms +=
+          static_cast<double>(service.broker->delivered_count()) *
+          config.service_a.handling_cost_ms;
+    }
+  };
+  return harness.Run(adapter, /*drain_margin_ms=*/60000.0);
 }
 
 }  // namespace e2e

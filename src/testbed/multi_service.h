@@ -33,9 +33,9 @@ enum class CrossServiceMode {
 /// `fanout_probability` fraction additionally needs the slower service B
 /// and completes only when both legs respond — the paper's §9 example of a
 /// request "that also depends on another, much slower service".
-/// Shared knobs live in `common`; this runner has no fault-injection
-/// hooks, so `common.fault_plan` must stay empty (the runner throws
-/// otherwise).
+/// Shared knobs live in `common`; this runner has no fault-injection or
+/// resilience hooks, so `common.fault_plan` must stay empty and
+/// `common.resilience` disabled (the runner throws otherwise).
 struct MultiServiceConfig {
   ExperimentConfig common = ExperimentConfig::WithSeed(211);
   broker::BrokerParams service_a;

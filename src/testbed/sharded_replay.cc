@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <unordered_set>
 #include <utility>
@@ -85,7 +86,11 @@ class ReplayEngine {
             telemetry_.metrics.AddCounter("controller.shard_merges")),
         metric_windows_(
             telemetry_.metrics.AddCounter("controller.windows_streamed")) {
-    RequireNoFaultPlan(config.common, caller);
+    if (!config.common.fault_plan.empty()) {
+      throw std::invalid_argument(std::string(caller) +
+                                  ": fault plans are not supported here; use "
+                                  "RunBrokerExperiment or RunDbExperiment");
+    }
     // Groups are the unit of parallelism here; the per-group hill climb
     // runs serially on its shard's thread (nesting pools would
     // oversubscribe and buys nothing at this granularity).

@@ -89,7 +89,7 @@ struct ShardedReplayResult {
 /// the mean of that decision's delay distribution under the planned split.
 /// Shard resolution follows PolicyConfig::parallel_workers: 0 picks
 /// ThreadPool::DefaultWorkers(), 1 is serial, N > 1 uses N shards
-/// (negative throws). Fault plans are not supported (RequireNoFaultPlan).
+/// (negative throws). Fault plans are not supported (they throw).
 ///
 /// When `common.abandonment.enabled`, a session whose total delay
 /// (external + planned mean server delay) exceeds its seeded patience quits:

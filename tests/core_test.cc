@@ -883,6 +883,30 @@ TEST(Failover, DoubleFailureIsIdempotent) {
   EXPECT_EQ(group.active().name(), "backup");
 }
 
+TEST(Failover, GroupOfOneHasNoFailover) {
+  ReplicatedControllerGroup group(MakeController("solo", 1), nullptr,
+                                  FailoverParams{.election_delay_ms = 1000.0});
+  Rng rng(19);
+  for (int i = 0; i < 400; ++i) {
+    group.ObserveArrival(rng.LogNormal(8.1, 0.8), i * 2.0);
+  }
+  group.SetExternalDelayError(0.0);
+  group.SetLoadDiscount(0.1);
+  EXPECT_TRUE(group.Tick(1000.0));
+  EXPECT_DOUBLE_EQ(group.active().load_discount(), 0.1);
+  const int before = group.Decide(3000.0);
+  EXPECT_GE(before, 0);
+  // Nobody to elect: the stale table keeps answering for good.
+  group.FailPrimary(2000.0);
+  for (int i = 0; i < 400; ++i) {
+    group.ObserveArrival(rng.LogNormal(8.8, 0.8), 4000.0 + i * 2.0);
+  }
+  EXPECT_FALSE(group.Tick(5000.0));
+  EXPECT_FALSE(group.promoted());
+  EXPECT_EQ(group.active().name(), "solo");
+  EXPECT_EQ(group.Decide(3000.0), before);
+}
+
 TEST(Failover, InvalidConstructionThrows) {
   EXPECT_THROW(ReplicatedControllerGroup(nullptr, MakeController("b"),
                                          FailoverParams{}),
