@@ -229,11 +229,19 @@ TEST(Correlation, IndependentNearZero) {
 
 // --- Bucketizer property sweep ------------------------------------------
 
+// gtest prints this struct's raw bytes into each case name (and ctest
+// registers that name), so the 4 bytes after `target_buckets` are an explicit
+// zero field: left as implicit padding they print stack garbage and the case
+// names change from one test discovery to the next.
 struct BucketizerCase {
+  BucketizerCase(int buckets, double span, std::uint64_t rng_seed)
+      : target_buckets(buckets), max_span(span), seed(rng_seed) {}
   int target_buckets;
+  std::int32_t zero_fill = 0;
   double max_span;
   std::uint64_t seed;
 };
+static_assert(sizeof(BucketizerCase) == 24, "no implicit padding");
 
 class BucketizerProperty : public ::testing::TestWithParam<BucketizerCase> {};
 
